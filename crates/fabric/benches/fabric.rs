@@ -20,8 +20,9 @@ use sonuma_fabric::{Fabric, FabricConfig, Topology};
 use sonuma_protocol::NodeId;
 use sonuma_sim::SimTime;
 
-/// The benchmarked topology set: one of each routing family, all at
-/// comparable node counts.
+/// The benchmarked topology set: one of each routing family at comparable
+/// node counts, plus the 1024-node rack of the KV workload, whose ~8-hop
+/// routes weigh the per-hop cost.
 fn topologies() -> Vec<(&'static str, Topology, FabricConfig)> {
     vec![
         (
@@ -38,6 +39,11 @@ fn topologies() -> Vec<(&'static str, Topology, FabricConfig)> {
             "torus3d-4x4x4",
             Topology::torus3d(4, 4, 4),
             FabricConfig::torus3d(4, 4, 4),
+        ),
+        (
+            "torus3d-16x8x8",
+            Topology::torus3d(16, 8, 8),
+            FabricConfig::torus3d(16, 8, 8),
         ),
         ("mesh2d-8x8", Topology::mesh2d(8, 8), {
             FabricConfig {

@@ -27,9 +27,10 @@ struct DirectedLink {
 }
 
 /// How `(from, to)` directed-link pairs map into the dense link table —
-/// the fabric's "adjacency index". Both forms are pure arithmetic, so a
-/// hop's link lookup is an index computation plus one array load, no
-/// hashing.
+/// the fabric's "adjacency index". The send path never computes it: the
+/// route walker yields each hop's slot ([`crate::RouteIter::links`]), in this
+/// same layout. It serves fault-plan compilation and hops taken from a
+/// [`NextHopTable`] reroute.
 #[derive(Debug, Clone, Copy)]
 enum AdjIndex {
     /// Crossbar: src-major ordered-pair index. `from` owns a contiguous
@@ -239,10 +240,11 @@ pub struct FaultStats {
 /// 88-byte MTU), and per-lane credits apply on every hop.
 ///
 /// Hot-path discipline: routes come from the allocation-free
-/// [`Topology::route_iter`], and link state lives in a dense table indexed
-/// by `AdjIndex` arithmetic, so a send does zero hashing and — once a
-/// link's state exists (created boxed on its first packet, with credit
-/// deques pre-sized to the credit pool) — zero heap allocation.
+/// [`Topology::route_iter`], whose walker yields each hop's slot in the
+/// dense link table along with the next node, so a send does zero hashing,
+/// no per-hop index arithmetic and — once a link's state exists (created
+/// boxed on its first packet, with credit deques pre-sized to the credit
+/// pool) — zero heap allocation.
 ///
 /// # Example
 ///
@@ -327,26 +329,35 @@ impl Fabric {
             .get_or_insert_with(|| self.config.topology.next_hop_table())
     }
 
-    fn link(&mut self, from: NodeId, to: NodeId) -> &mut DirectedLink {
-        let idx = self.adj.index(from, to);
-        // Flow-control degradation: a faulty link is built with a shrunken
-        // credit pool (never below one, or it could carry nothing).
-        let lost = self
-            .fault_rt
-            .as_ref()
-            .map_or(0, |rt| rt.params_at(idx as u32).credit_loss);
-        let slot = &mut self.links[idx];
-        if slot.is_none() {
-            let credits = (self.config.credits_per_lane.saturating_sub(lost)).max(1);
-            let credit_return = self.config.credit_return;
-            *slot = Some(Box::new(DirectedLink {
-                src: from.0,
-                dst: to.0,
-                serializer: LinkSerializer::new(),
-                lanes: std::array::from_fn(|_| VirtualChannel::new(credits, credit_return)),
-            }));
-        }
-        slot.as_mut().expect("just filled")
+    /// The state of directed link `from -> to`, which lives at `slot`,
+    /// created on the link's first packet.
+    fn link(&mut self, slot: usize, from: NodeId, to: NodeId) -> &mut DirectedLink {
+        let link = match &mut self.links[slot] {
+            Some(link) => link,
+            entry @ None => {
+                // Flow-control degradation: a faulty link is built with a
+                // shrunken credit pool (never below one, or it could carry
+                // nothing).
+                let lost = self
+                    .fault_rt
+                    .as_ref()
+                    .map_or(0, |rt| rt.params_at(slot as u32).credit_loss);
+                let credits = (self.config.credits_per_lane.saturating_sub(lost)).max(1);
+                let credit_return = self.config.credit_return;
+                entry.insert(Box::new(DirectedLink {
+                    src: from.0,
+                    dst: to.0,
+                    serializer: LinkSerializer::new(),
+                    lanes: std::array::from_fn(|_| VirtualChannel::new(credits, credit_return)),
+                }))
+            }
+        };
+        debug_assert_eq!(
+            (link.src, link.dst),
+            (from.0, to.0),
+            "link slot {slot} already holds another link"
+        );
+        link
     }
 
     /// Injects a packet of `bytes` on virtual lane `lane` at time `now`;
@@ -372,8 +383,8 @@ impl Fabric {
         let mut at = now;
         let mut prev = src;
         let mut hops = 0u32;
-        for hop in self.config.topology.route_iter(src, dst) {
-            let link = self.link(prev, hop);
+        for (slot, hop) in self.config.topology.route_iter(src, dst).links() {
+            let link = self.link(slot, prev, hop);
             // Credit first (receive buffer at `hop`), then the wire.
             let after_credit = link.lanes[lane].acquire(at, at + ser + hop_latency);
             let start = link.serializer.occupy(after_credit, ser, bytes);
@@ -396,6 +407,7 @@ impl Fabric {
     fn faulty_hop(
         &mut self,
         at: SimTime,
+        slot: usize,
         prev: NodeId,
         hop: NodeId,
         lane: usize,
@@ -404,26 +416,24 @@ impl Fabric {
         salt: u64,
     ) -> (SimTime, bool, bool) {
         let hop_latency = self.config.hop_latency;
-        let slot = self.adj.index(prev, hop) as u32;
         let rt = self.fault_rt.as_ref().expect("faulty path needs a runtime");
         let seed = rt.seed;
-        let p = rt.params_at(slot);
+        let p = rt.params_at(slot as u32);
         let ser = if p.derate > 1.0 {
             SimTime::from_ps((ser.as_ps() as f64 * p.derate).round() as u64)
         } else {
             ser
         };
-        let link = self.link(prev, hop);
+        let link = self.link(slot, prev, hop);
         let after_credit = link.lanes[lane].acquire(at, at + ser + hop_latency);
         let start = link.serializer.occupy(after_credit, ser, bytes);
         let cleared = start + ser + hop_latency;
         // Streams 4·slot and 4·slot+1 keep every link's drop and corrupt
         // draws decorrelated for the same packet.
-        let dropped =
-            p.drop_prob > 0.0 && fault_unit(seed, salt, u64::from(slot) << 2) < p.drop_prob;
-        let corrupted = !dropped
-            && p.corrupt_prob > 0.0
-            && fault_unit(seed, salt, (u64::from(slot) << 2) | 1) < p.corrupt_prob;
+        let stream = (slot as u64) << 2;
+        let dropped = p.drop_prob > 0.0 && fault_unit(seed, salt, stream) < p.drop_prob;
+        let corrupted =
+            !dropped && p.corrupt_prob > 0.0 && fault_unit(seed, salt, stream | 1) < p.corrupt_prob;
         (cleared, dropped, corrupted)
     }
 
@@ -483,9 +493,9 @@ impl Fabric {
         match &table {
             None => {
                 let mut prev = src;
-                for hop in self.config.topology.route_iter(src, dst) {
+                for (slot, hop) in self.config.topology.route_iter(src, dst).links() {
                     let (cleared, dropped, corrupted) =
-                        self.faulty_hop(at, prev, hop, lane, ser, bytes, salt);
+                        self.faulty_hop(at, slot, prev, hop, lane, ser, bytes, salt);
                     at = cleared;
                     prev = hop;
                     hops += 1;
@@ -507,8 +517,9 @@ impl Fabric {
                         unreachable = true;
                         break;
                     }
+                    let slot = self.adj.index(cur, hop);
                     let (cleared, dropped, corrupted) =
-                        self.faulty_hop(at, cur, hop, lane, ser, bytes, salt);
+                        self.faulty_hop(at, slot, cur, hop, lane, ser, bytes, salt);
                     at = cleared;
                     cur = hop;
                     hops += 1;
@@ -806,6 +817,33 @@ mod tests {
             NodeId(1),
             "X-first dimension-order routing"
         );
+    }
+
+    #[test]
+    fn walker_slots_match_the_adjacency_index() {
+        // The send path indexes links by the walker's slots; fault plans
+        // and reroutes by `AdjIndex`. Both must name every link alike.
+        for topo in [
+            Topology::crossbar(7),
+            Topology::torus2d(4, 4),
+            Topology::torus2d(5, 1),
+            Topology::torus3d(2, 3, 4),
+            Topology::mesh2d(2, 3),
+            Topology::mesh2d(4, 5),
+        ] {
+            let adj = AdjIndex::of(&topo);
+            let n = topo.nodes() as u16;
+            for s in 0..n {
+                for d in 0..n {
+                    let mut prev = NodeId(s);
+                    for (slot, hop) in topo.route_iter(NodeId(s), NodeId(d)).links() {
+                        assert_eq!(slot, adj.index(prev, hop), "{topo:?} {s}->{d}");
+                        assert!(slot < adj.slots(topo.nodes()));
+                        prev = hop;
+                    }
+                }
+            }
+        }
     }
 
     fn plan_with(links: Vec<LinkFault>) -> FaultPlan {

@@ -125,7 +125,7 @@ impl Topology {
     /// Allocation-free iterator over the nodes a packet visits after
     /// leaving `src`, ending at `dst`. Empty when `src == dst`. This is the
     /// hot-path form: every hop is computed arithmetically from fixed-size
-    /// coordinate arrays, so routing a packet never touches the heap.
+    /// per-dimension arrays, so routing a packet never touches the heap.
     ///
     /// # Panics
     ///
@@ -137,18 +137,22 @@ impl Topology {
             RouteState::Done
         } else {
             match *self {
-                Topology::Crossbar { .. } => RouteState::Direct { dst: dst.0 },
-                Topology::Torus2D { width, height } => {
-                    torus_state(&[width, height], src.index(), dst.index())
+                Topology::Crossbar { .. } => {
+                    let peer = dst.0 - u16::from(dst.0 > src.0);
+                    RouteState::Direct {
+                        dst: dst.0,
+                        slot: src.index() as u32 * (n as u32 - 1) + u32::from(peer),
+                    }
                 }
-                Topology::Torus3D { x, y, z } => torus_state(&[x, y, z], src.index(), dst.index()),
-                Topology::Mesh2D { width, .. } => RouteState::Mesh {
-                    width: width as u16,
-                    x: (src.index() % width) as u16,
-                    y: (src.index() / width) as u16,
-                    gx: (dst.index() % width) as u16,
-                    gy: (dst.index() / width) as u16,
-                },
+                Topology::Torus2D { width, height } => {
+                    grid_state(&[width, height], true, src.index(), dst.index())
+                }
+                Topology::Torus3D { x, y, z } => {
+                    grid_state(&[x, y, z], true, src.index(), dst.index())
+                }
+                Topology::Mesh2D { width, height } => {
+                    grid_state(&[width, height], false, src.index(), dst.index())
+                }
             }
         };
         RouteIter { state }
@@ -357,35 +361,58 @@ fn ring_distance(k: usize, s: usize, d: usize) -> u32 {
     fwd.min(k - fwd) as u32
 }
 
-/// Initial dimension-order walk state on a k-ary n-cube: coordinates are
-/// decomposed once into fixed-size arrays (dimension 0 varies fastest), so
-/// iterating the route allocates nothing.
-fn torus_state(dims: &[usize], src: usize, dst: usize) -> RouteState {
-    let mut d = [1u16; 3];
-    let mut cur = [0u16; 3];
-    let mut goal = [0u16; 3];
-    let (mut s, mut g) = (src, dst);
+/// Initial dimension-order walk on a grid (dimension 0 varies fastest).
+/// Each dimension's direction and hop count are fixed here, once per
+/// packet: the shorter way around on a torus (`wraps`; ties go +1), toward
+/// the goal on a mesh. Every hop then adds a fixed id delta: ±stride, or
+/// ∓(k−1)·stride on the one step that wraps around the ring's end.
+fn grid_state(dims: &[usize], wraps: bool, src: usize, dst: usize) -> RouteState {
+    let mut state = GridWalk {
+        node: src as u32,
+        ports: 2 * dims.len() as u32,
+        dim: 0,
+        left: [0; 3],
+        until_wrap: [0; 3],
+        step: [0; 3],
+        wrap: [0; 3],
+        port: [0; 3],
+    };
+    let (mut s, mut g, mut stride) = (src, dst, 1u32);
     for (i, &k) in dims.iter().enumerate() {
-        d[i] = k as u16;
-        cur[i] = (s % k) as u16;
-        goal[i] = (g % k) as u16;
+        let (c, goal) = (s % k, g % k);
+        let (up, left) = if wraps {
+            let fwd = (goal + k - c) % k;
+            (fwd <= k - fwd, fwd.min(k - fwd))
+        } else {
+            (goal > c, goal.abs_diff(c))
+        };
+        let span = (k as u32 - 1) * stride;
+        state.left[i] = left as u16;
+        // On a mesh the goal comes before the edge, so no step wraps.
+        state.until_wrap[i] = if up { k - 1 - c } else { c } as u16;
+        (state.step[i], state.wrap[i]) = if up {
+            (stride, span.wrapping_neg())
+        } else {
+            (stride.wrapping_neg(), span)
+        };
+        // +1 steps leave through the even port, −1 through the odd one —
+        // except in a dimension of extent 2, where a node has one neighbor
+        // and its link is the even port whichever way the step goes.
+        state.port[i] = (2 * i + usize::from(!up && k != 2)) as u8;
         s /= k;
         g /= k;
+        stride *= k as u32;
     }
-    RouteState::Torus {
-        dims: d,
-        ndims: dims.len() as u8,
-        dim: 0,
-        cur,
-        goal,
-    }
+    RouteState::Grid(state)
 }
 
 /// Allocation-free route iterator (see [`Topology::route_iter`]).
 ///
 /// Plain `Copy` data: the topology's parameters and the walker's current
 /// position are captured in fixed-size arrays at construction, so cloning
-/// or iterating never allocates.
+/// or iterating never allocates. As an [`Iterator`] it yields the nodes
+/// visited; the fabric's send path also takes each hop's link slot from
+/// the same walk.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteIter {
     state: RouteState,
@@ -395,83 +422,80 @@ pub struct RouteIter {
 enum RouteState {
     /// Route fully consumed (or `src == dst`).
     Done,
-    /// Crossbar: one hop straight to the destination.
-    Direct { dst: u16 },
-    /// Dimension-order walk on a k-ary n-cube with wraparound: resolve
-    /// each dimension fully (taking the shorter direction) before the
-    /// next.
-    Torus {
-        dims: [u16; 3],
-        ndims: u8,
-        dim: u8,
-        cur: [u16; 3],
-        goal: [u16; 3],
-    },
-    /// Dimension-order (XY) walk on a mesh: no wraparound, so every step
-    /// moves monotonically toward the destination coordinate.
-    Mesh {
-        width: u16,
-        x: u16,
-        y: u16,
-        gx: u16,
-        gy: u16,
-    },
+    /// Crossbar: one hop straight to the destination over link `slot`.
+    Direct { dst: u16, slot: u32 },
+    /// Dimension-order walk on a torus or mesh.
+    Grid(GridWalk),
+}
+
+/// Dimension-order walk on a grid: resolve each dimension fully before the
+/// next, adding each step's node-id delta (wrapping `u32` arithmetic).
+#[derive(Debug, Clone, Copy)]
+struct GridWalk {
+    /// The node the packet sits at.
+    node: u32,
+    /// Output ports per node (2 per dimension).
+    ports: u32,
+    /// Dimension being resolved.
+    dim: u8,
+    /// Hops still to take in each dimension.
+    left: [u16; 3],
+    /// Hops in each dimension before the one that wraps around the ring.
+    until_wrap: [u16; 3],
+    /// Node-id delta of an ordinary step in each dimension.
+    step: [u32; 3],
+    /// Node-id delta of the wrapping step in each dimension.
+    wrap: [u32; 3],
+    /// Output port of each dimension's steps.
+    port: [u8; 3],
+}
+
+impl RouteIter {
+    /// Takes the next hop: the slot of the link it crosses and the node it
+    /// reaches, `None` once the packet has arrived.
+    fn next_link(&mut self) -> Option<(usize, NodeId)> {
+        match &mut self.state {
+            RouteState::Done => None,
+            &mut RouteState::Direct { dst, slot } => {
+                self.state = RouteState::Done;
+                Some((slot as usize, NodeId(dst)))
+            }
+            RouteState::Grid(w) => {
+                while w.left.get(w.dim as usize)? == &0 {
+                    w.dim += 1;
+                }
+                let i = w.dim as usize;
+                w.left[i] -= 1;
+                let from = w.node;
+                let delta = if w.until_wrap[i] == 0 {
+                    w.wrap[i]
+                } else {
+                    w.step[i]
+                };
+                w.until_wrap[i] = w.until_wrap[i].wrapping_sub(1);
+                w.node = w.node.wrapping_add(delta);
+                let slot = from * w.ports + u32::from(w.port[i]);
+                Some((slot as usize, NodeId(w.node as u16)))
+            }
+        }
+    }
+
+    /// The remaining hops as `(link slot, node reached)` pairs, where the
+    /// slot is the directed link's index in the fabric's dense link table:
+    /// on a crossbar the src-major pair index `src·(n−1) + peer` (the
+    /// diagonal skipped), on a torus or mesh `node·2D + port` with ports
+    /// paired per dimension, +1 even and −1 odd (the even port in a
+    /// dimension of extent 2).
+    pub(crate) fn links(mut self) -> impl Iterator<Item = (usize, NodeId)> {
+        std::iter::from_fn(move || self.next_link())
+    }
 }
 
 impl Iterator for RouteIter {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        match &mut self.state {
-            RouteState::Done => None,
-            RouteState::Direct { dst } => {
-                let hop = NodeId(*dst);
-                self.state = RouteState::Done;
-                Some(hop)
-            }
-            RouteState::Torus {
-                dims,
-                ndims,
-                dim,
-                cur,
-                goal,
-            } => {
-                while *dim < *ndims && cur[*dim as usize] == goal[*dim as usize] {
-                    *dim += 1;
-                }
-                if *dim >= *ndims {
-                    self.state = RouteState::Done;
-                    return None;
-                }
-                let i = *dim as usize;
-                let k = dims[i];
-                let fwd = (goal[i] + k - cur[i]) % k; // hops going +1
-                let step = if fwd <= k - fwd { 1 } else { k - 1 }; // +1 or -1 mod k
-                cur[i] = (cur[i] + step) % k;
-                let mut id = 0u32;
-                for j in (0..*ndims as usize).rev() {
-                    id = id * dims[j] as u32 + cur[j] as u32;
-                }
-                Some(NodeId(id as u16))
-            }
-            RouteState::Mesh {
-                width,
-                x,
-                y,
-                gx,
-                gy,
-            } => {
-                if x != gx {
-                    *x = if *gx > *x { *x + 1 } else { *x - 1 };
-                } else if y != gy {
-                    *y = if *gy > *y { *y + 1 } else { *y - 1 };
-                } else {
-                    self.state = RouteState::Done;
-                    return None;
-                }
-                Some(NodeId(*y * *width + *x))
-            }
-        }
+        self.next_link().map(|(_, node)| node)
     }
 }
 

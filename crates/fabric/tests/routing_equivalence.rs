@@ -1,16 +1,22 @@
-//! Routing equivalence: the allocation-free `RouteIter` and the dense
-//! `NextHopTable` must reproduce, hop for hop, the route the original
-//! `Vec`-building implementation computed.
+//! Routing equivalence: the allocation-free `RouteIter`, the dense
+//! `NextHopTable` and the fabric's send path must reproduce, hop for hop,
+//! the route the original `Vec`-building implementation computed.
 //!
 //! The reference implementations below are verbatim ports of the
 //! pre-refactor `route_torus` / `route_mesh` (per-call `Vec`s and all),
 //! kept here as the oracle. Exhaustive all-pairs checks cover the
 //! acceptance topologies (crossbar, 4×4 torus, 4×4×4 torus, 8×8 mesh);
-//! the property test fuzzes arbitrary torus shapes.
+//! the property test fuzzes arbitrary torus shapes. The send-path checks
+//! inject one packet per pair into a fresh fabric and read back which
+//! links it instantiated, so a wrong link slot shows up as a wrong hop;
+//! then every pair into one fabric, so two links sharing a slot show too.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sonuma_fabric::Topology;
+use sonuma_fabric::{Fabric, FabricConfig, Topology};
 use sonuma_protocol::NodeId;
+use sonuma_sim::SimTime;
 
 /// Pre-refactor dimension-order torus routing (the oracle).
 fn reference_route_torus(dims: &[usize], src: usize, dst: usize) -> Vec<NodeId> {
@@ -114,6 +120,117 @@ fn torus3d_4x4x4_matches_reference() {
 #[test]
 fn mesh2d_8x8_matches_reference() {
     assert_equivalent(&Topology::mesh2d(8, 8));
+}
+
+fn fabric_for(topo: &Topology) -> Fabric {
+    Fabric::new(FabricConfig {
+        topology: topo.clone(),
+        ..FabricConfig::torus2d(2, 2)
+    })
+}
+
+/// The oracle route's hops as `(from, to)` pairs.
+fn reference_hops(topo: &Topology, src: usize, dst: usize) -> Vec<(u16, u16)> {
+    let oracle = reference_route(topo, src, dst);
+    std::iter::once(NodeId(src as u16))
+        .chain(oracle.iter().copied())
+        .zip(oracle.iter())
+        .map(|(from, to)| (from.0, to.0))
+        .collect()
+}
+
+/// Every link `fabric` instantiated, with the packets it carried.
+fn links_used(fabric: &Fabric) -> BTreeMap<(u16, u16), u64> {
+    let mut used = BTreeMap::new();
+    fabric.visit_links(|_, from, to, _, packets, _| {
+        assert!(
+            used.insert((from, to), packets).is_none(),
+            "{from}->{to} twice"
+        );
+    });
+    used
+}
+
+/// One `send` on a fresh fabric must instantiate exactly the links of the
+/// oracle route, labelled with its hop pairs, and report its hop count.
+fn assert_send_walks_reference(topo: &Topology, src: usize, dst: usize) {
+    let mut fabric = fabric_for(topo);
+    let arrival = fabric.send(SimTime::ZERO, NodeId(src as u16), NodeId(dst as u16), 0, 88);
+    let hops = reference_hops(topo, src, dst);
+    let expected: BTreeMap<(u16, u16), u64> = hops.iter().map(|&hop| (hop, 1)).collect();
+    assert_eq!(links_used(&fabric), expected, "{topo:?} send {src}->{dst}");
+    assert_eq!(
+        arrival.hops as usize,
+        hops.len(),
+        "{topo:?} hops {src}->{dst}"
+    );
+}
+
+/// The send path on every ordered pair of distinct nodes: each pair on a
+/// fresh fabric, then all pairs on one fabric, whose links must carry
+/// exactly the packets the oracle routes put on them — two links that
+/// shared a slot would show as one row carrying both links' packets.
+fn assert_send_equivalent(topo: &Topology) {
+    let n = topo.nodes();
+    let mut shared = fabric_for(topo);
+    let mut expected = BTreeMap::new();
+    for src in 0..n {
+        for dst in (0..n).filter(|&d| d != src) {
+            assert_send_walks_reference(topo, src, dst);
+            shared.send(SimTime::ZERO, NodeId(src as u16), NodeId(dst as u16), 0, 88);
+            for hop in reference_hops(topo, src, dst) {
+                *expected.entry(hop).or_insert(0) += 1;
+            }
+        }
+    }
+    assert_eq!(links_used(&shared), expected, "{topo:?} all pairs");
+}
+
+#[test]
+fn crossbar_sends_walk_reference() {
+    assert_send_equivalent(&Topology::crossbar(8));
+}
+
+#[test]
+fn torus2d_4x4_sends_walk_reference() {
+    assert_send_equivalent(&Topology::torus2d(4, 4));
+}
+
+#[test]
+fn torus3d_4x4x4_sends_walk_reference() {
+    assert_send_equivalent(&Topology::torus3d(4, 4, 4));
+}
+
+#[test]
+fn ring_of_two_torus_sends_walk_reference() {
+    // The x ring has two nodes: both directions share one link.
+    assert_send_equivalent(&Topology::torus3d(2, 3, 4));
+}
+
+#[test]
+fn mesh2d_8x8_sends_walk_reference() {
+    assert_send_equivalent(&Topology::mesh2d(8, 8));
+}
+
+#[test]
+fn torus3d_16x8x8_sampled_sends_walk_reference() {
+    // The 1024-node rack of the KV workload: routes of up to 16 hops,
+    // sampled pairs (all pairs would build a million fabrics).
+    let topo = Topology::torus3d(16, 8, 8);
+    let n = topo.nodes();
+    let mut seed = 0x2545_F491_4F6C_DD1Du64;
+    for _ in 0..2000 {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        let (src, dst) = (
+            (seed % n as u64) as usize,
+            ((seed >> 32) % n as u64) as usize,
+        );
+        if src != dst {
+            assert_send_walks_reference(&topo, src, dst);
+        }
+    }
 }
 
 proptest! {

@@ -26,7 +26,7 @@ use crate::ClusterEngine;
 /// each source node has ever injected, so the merge order
 /// `(time, src, seq)` is a total order that depends only on the
 /// simulation's history — never on how nodes are distributed over shards.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Departure {
     /// Fabric injection time.
     pub t: SimTime,

@@ -237,13 +237,14 @@ impl SourceQueue {
     }
 
     /// Appends one epoch's outbox drain, keeping the uncommitted suffix
-    /// `(t, src, seq)`-sorted. Chunks from successive epochs are usually
-    /// time-separated (an epoch only executes events past the previous
-    /// one's horizon), so sorting just the new tail suffices; inject
-    /// times carry per-packet offsets (`stage_local` vs none), so when a
-    /// chunk overlaps the staged suffix the whole uncommitted range is
-    /// re-sorted. Everything staged is past the commit frontier, so the
-    /// merge order is unaffected.
+    /// `(t, src, seq)`-sorted. Chunks usually overlap the staged suffix
+    /// in time — inject times carry per-packet offsets (`stage_local` vs
+    /// none), and most epochs stage departures below the previous chunk's
+    /// last one — so the sorted chunk is merged into the suffix from the
+    /// back in one linear pass, moving only the staged departures that
+    /// sort after the chunk's first one. `(src, seq)` is unique, so the
+    /// merged order is exactly the full sort. Everything staged is past
+    /// the commit frontier, so the merge order is unaffected.
     fn append_chunk(&mut self, outbox: &mut Vec<Departure>) -> usize {
         if outbox.is_empty() {
             return 0;
@@ -253,16 +254,27 @@ impl SourceQueue {
         if self.buf.capacity() < self.hwm {
             self.buf.reserve(self.hwm - self.buf.len());
         }
-        let tail = self.buf.len();
-        self.buf.append(outbox);
         let key = |d: &Departure| (d.t, d.src, d.seq);
-        self.buf[tail..].sort_unstable_by_key(key);
-        if tail > self.head && key(&self.buf[tail - 1]) > key(&self.buf[tail]) {
-            self.buf[self.head..].sort_unstable_by_key(key);
+        outbox.sort_unstable_by_key(key);
+        // Merge from the back: each step places the larger of the two run
+        // ends at `i + j - 1`. Once the chunk is placed, the staged
+        // departures below `i` already sit where they belong.
+        let (mut i, mut j) = (self.buf.len(), outbox.len());
+        self.buf.extend_from_slice(outbox);
+        while j > 0 {
+            if i > self.head && key(&self.buf[i - 1]) > key(&outbox[j - 1]) {
+                i -= 1;
+                self.buf[i + j] = self.buf[i];
+            } else {
+                j -= 1;
+                self.buf[i + j] = outbox[j];
+            }
         }
+        let added = outbox.len();
+        outbox.clear();
         self.refresh_key();
         self.hwm = self.hwm.max(self.buf.len());
-        self.buf.len() - tail
+        added
     }
 
     /// Drops the committed prefix once it outweighs the live tail.
@@ -1169,5 +1181,102 @@ impl ShardedCluster {
             queue.compact();
         }
         consumed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use sonuma_protocol::{RemoteOp, Tid};
+
+    /// A departure whose packet carries its `seq` in `offset`, so pops can
+    /// be told apart.
+    fn departure(t: u64, src: u16, seq: u64) -> Departure {
+        let pkt = Packet::request(
+            NodeId(0),
+            NodeId(src),
+            CtxId(0),
+            Tid(0),
+            RemoteOp::Read,
+            seq,
+            0,
+        );
+        Departure {
+            t: SimTime::from_ps(t),
+            src: NodeId(src),
+            seq,
+            pkt,
+        }
+    }
+
+    /// Pops every staged departure with `t < bound`, as `(t, src, seq)`.
+    fn pop_below(q: &mut SourceQueue, bound: u64, out: &mut Vec<(u64, u16, u64)>) {
+        while q.head_time().is_some_and(|t| t.as_ps() < bound) {
+            let (t, pkt) = q.pop();
+            out.push((t.as_ps(), pkt.src.0, pkt.offset));
+        }
+    }
+
+    /// Stages `epochs` chunks whose inject times each span three epoch
+    /// widths, so every chunk overlaps the suffix the previous ones left.
+    /// After each chunk it commits everything no later chunk can precede
+    /// and compacts, as the commit loop does; the pops must come out as
+    /// the full sort of everything appended.
+    fn check_epochs(epochs: &[Vec<(u64, u16)>], width: u64) -> bool {
+        let mut q = SourceQueue::default();
+        let mut seqs = [0u64; 4];
+        let (mut appended, mut popped) = (Vec::new(), Vec::new());
+        let mut compacted = false;
+        for (e, chunk) in epochs.iter().enumerate() {
+            let base = e as u64 * width;
+            let mut outbox: Vec<Departure> = chunk
+                .iter()
+                .map(|&(dt, src)| {
+                    seqs[src as usize] += 1;
+                    departure(base + dt, src, seqs[src as usize])
+                })
+                .collect();
+            appended.extend(outbox.iter().map(|d| (d.t.as_ps(), d.src.0, d.seq)));
+            assert_eq!(q.append_chunk(&mut outbox), chunk.len());
+            assert!(outbox.is_empty(), "the drain empties the outbox");
+            pop_below(&mut q, base + width, &mut popped);
+            let head = q.head;
+            q.compact();
+            compacted |= q.head < head;
+        }
+        pop_below(&mut q, u64::MAX, &mut popped);
+        assert_eq!(q.head_time(), None);
+        appended.sort_unstable();
+        assert_eq!(popped, appended);
+        compacted
+    }
+
+    proptest! {
+        /// Overlapping chunks from successive epochs, equal-time ties
+        /// across sources (times drawn from a few values), and compaction
+        /// mid-stream: pops equal a full sort of everything appended.
+        #[test]
+        fn pops_equal_a_full_sort_of_all_appends(
+            epochs in vec(vec((0u64..12, 0u16..4), 0..48), 1..12),
+        ) {
+            check_epochs(&epochs, 4);
+        }
+    }
+
+    #[test]
+    fn compaction_mid_stream_keeps_the_order() {
+        // Long epochs of descending inject times: every chunk is reversed
+        // and overlaps the staged suffix, and the committed prefix soon
+        // passes the compaction threshold.
+        let epochs: Vec<Vec<(u64, u16)>> = (0..12)
+            .map(|e| {
+                (0..100)
+                    .map(|i| (299 - 3 * i, ((i + e) % 4) as u16))
+                    .collect()
+            })
+            .collect();
+        assert!(check_epochs(&epochs, 100), "the queue must compact");
     }
 }
