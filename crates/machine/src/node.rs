@@ -272,14 +272,13 @@ impl Node {
     /// Estimated heap bytes this node's model state actually occupies.
     ///
     /// Counts what is *resident*, not what is addressable: touched
-    /// physical frames, materialized cache/coherence lines, grown ITT/CT
-    /// slots, page-table entries, and per-QP cursor state. Fixed-capacity
-    /// zero-page-backed arrays (cache tags) and untouched table slots
-    /// contribute nothing, which is exactly the property the rack4096
-    /// memory diet relies on.
+    /// physical frames, valid cache lines, grown ITT/CT slots, page-table
+    /// entries, and per-QP cursor state. Fixed-capacity zero-page-backed
+    /// arrays (cache tags) and untouched table slots contribute nothing,
+    /// which is exactly the property the rack4096 memory diet relies on.
     pub fn resident_bytes(&self) -> u64 {
-        const LINE_STATE_BYTES: u64 = 17; // tag + lru + flags per way
-        const PTE_BYTES: u64 = 16; // vpn -> pfn BTreeMap payload
+        const LINE_STATE_BYTES: u64 = 5; // tag/flags word + LRU rank per way
+        const PTE_BYTES: u64 = 16; // vpn -> pfn FastMap payload
         let frames = self.phys.resident_frames() as u64 * PAGE_BYTES;
         let lines = self.hierarchy.resident_lines() as u64 * LINE_STATE_BYTES;
         let ptes = self.space.mapped_pages() as u64 * PTE_BYTES;
@@ -357,17 +356,17 @@ impl Node {
     /// as the paper's shared-page-table argument expects.
     pub fn rmc_translate(&mut self, now: SimTime, va: VAddr) -> (Result<PAddr, MemError>, SimTime) {
         let mut t = now + self.rmc.timing.tlb_lookup;
-        let hit = self.rmc.tlb.lookup(0, va).is_some();
-        if !hit {
+        let translated = self.space.translate(va);
+        if self.rmc.tlb.lookup(0, va).is_none() {
             for level in 0..self.space.walk_references() {
                 let pt_pa = self.pt_line_addr(va, level);
                 t = self.rmc_line_access(t, pt_pa, AccessKind::Read);
             }
-            if let Ok(pa) = self.space.translate(va) {
+            if let Ok(pa) = translated {
                 self.rmc.tlb.insert(0, va, pa.frame_number());
             }
         }
-        (self.space.translate(va), t)
+        (translated, t)
     }
 
     /// Physical address of the page-table line the walker touches for

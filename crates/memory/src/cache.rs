@@ -74,9 +74,10 @@ impl CacheGeometry {
     }
 }
 
-/// Per-way flag bits (see [`CacheArray`]'s parallel arrays).
-const VALID: u8 = 1;
-const DIRTY: u8 = 2;
+/// Way-word bits (see [`CacheArray`]): the tag sits above these two.
+const VALID: u32 = 1;
+const DIRTY: u32 = 2;
+const TAG_SHIFT: u32 = 2;
 
 /// Outcome of a cache lookup-with-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +106,16 @@ impl LookupResult {
 
 /// One level of set-associative, LRU, write-back cache tags.
 ///
+/// Each way is 5 bytes: a `u32` word holding `tag << 2 | DIRTY | VALID`
+/// and a `u8` recency rank. The valid ways of a set always hold exactly
+/// the ranks `0..valid` (0 = most recent): a hit promotes its way to 0
+/// and ages the ways that were more recent, a fill ranks the new line 0
+/// and ages every other valid way, and an invalidate closes the gap it
+/// leaves. A full set's victim is therefore the way ranked `ways - 1`,
+/// the least recently used one. Every method panics on an address whose
+/// tag needs more than 30 bits (beyond 2^44 B for Table 1's L1, 2^48 B
+/// for its LLC) rather than alias it with another line.
+///
 /// # Example
 ///
 /// ```
@@ -118,29 +129,35 @@ impl LookupResult {
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     geom: CacheGeometry,
-    // Way state as parallel arrays (sets × ways, row-major by set), all
-    // zero-initialized. `vec![0; n]` allocates zeroed pages straight from
-    // the allocator, so building a rack of 4 MB LLC tag arrays costs
-    // virtual address space, not hundreds of megabytes of writes — pages
-    // materialize only for sets the workload actually touches.
-    tags: Vec<u64>,
-    lru: Vec<u64>,
-    flags: Vec<u8>, // VALID | DIRTY
-    tick: u64,
+    /// `log2(sets)`: the line index splits into `tag << set_bits | set`.
+    set_bits: u32,
+    // Way state (sets × ways, row-major by set), all zero-initialized,
+    // which is the all-invalid state. `vec![0; n]` allocates zeroed pages
+    // straight from the allocator, so building a rack of 4 MB LLC tag
+    // arrays costs virtual address space, not hundreds of megabytes of
+    // writes — pages materialize only for sets the workload touches.
+    words: Vec<u32>,
+    ranks: Vec<u8>,
+    valid: usize,
     hits: u64,
     misses: u64,
 }
 
 impl CacheArray {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the associativity exceeds 256 (ranks are bytes).
     pub fn new(geom: CacheGeometry) -> Self {
+        assert!(geom.ways() <= 256, "at most 256 ways supported");
         let n = (geom.sets() * geom.ways() as u64) as usize;
         CacheArray {
             geom,
-            tags: vec![0; n],
-            lru: vec![0; n],
-            flags: vec![0; n],
-            tick: 0,
+            set_bits: geom.sets().trailing_zeros(),
+            words: vec![0; n],
+            ranks: vec![0; n],
+            valid: 0,
             hits: 0,
             misses: 0,
         }
@@ -161,39 +178,73 @@ impl CacheArray {
         self.misses
     }
 
-    fn set_range(&self, set: u64) -> std::ops::Range<usize> {
+    /// The first way index of `addr`'s set, and the word a valid clean
+    /// copy of its line holds. Panics if the tag does not fit the word.
+    #[inline]
+    fn locate(&self, addr: PAddr) -> (usize, u32) {
+        let line = addr.line_index();
+        let set = line & ((1u64 << self.set_bits) - 1);
+        let tag = line >> self.set_bits;
+        assert!(
+            tag <= (u32::MAX >> TAG_SHIFT) as u64,
+            "{addr} is beyond the cache's tag range"
+        );
+        let base = set as usize * self.geom.ways() as usize;
+        (base, (tag as u32) << TAG_SHIFT | VALID)
+    }
+
+    /// The way in `base`'s set holding `key`'s line, if resident.
+    #[inline]
+    fn find(&self, base: usize, key: u32) -> Option<usize> {
         let w = self.geom.ways() as usize;
-        let base = set as usize * w;
-        base..base + w
+        self.words[base..base + w]
+            .iter()
+            .position(|&x| x & !DIRTY == key)
+            .map(|i| base + i)
     }
 
     /// Whether `addr`'s line is resident, without disturbing LRU or stats.
     pub fn probe(&self, addr: PAddr) -> bool {
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        self.set_range(set)
-            .any(|i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
+        self.probe_dirty(addr).is_some()
+    }
+
+    /// Whether `addr`'s line is resident and, if so, whether it is dirty;
+    /// like [`CacheArray::probe`], it leaves LRU order and stats alone.
+    #[inline]
+    pub fn probe_dirty(&self, addr: PAddr) -> Option<bool> {
+        let (base, key) = self.locate(addr);
+        self.find(base, key).map(|i| self.words[i] & DIRTY != 0)
+    }
+
+    /// Makes `way` of the set at `base` the most recent: every valid way
+    /// ranked below `from` ages by one.
+    #[inline]
+    fn promote(&mut self, base: usize, way: usize, from: usize) {
+        let w = self.geom.ways() as usize;
+        let words = &self.words[base..base + w];
+        for (rank, &word) in self.ranks[base..base + w].iter_mut().zip(words) {
+            if word & VALID != 0 && (*rank as usize) < from {
+                *rank += 1;
+            }
+        }
+        self.ranks[way] = 0;
     }
 
     /// Accesses `addr`'s line, filling on miss; `write` marks it dirty.
     ///
     /// Returns what happened, including any eviction the fill caused.
     pub fn access(&mut self, addr: PAddr, write: bool) -> LookupResult {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        let sets = self.geom.sets();
-        let range = self.set_range(set);
+        let (base, key) = self.locate(addr);
+        let w = self.geom.ways() as usize;
 
         // Hit path.
-        if let Some(i) = range
-            .clone()
-            .find(|&i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
-        {
-            self.lru[i] = tick;
+        if let Some(i) = self.find(base, key) {
+            let rank = self.ranks[i] as usize;
+            if rank != 0 {
+                self.promote(base, i, rank);
+            }
             if write {
-                self.flags[i] |= DIRTY;
+                self.words[i] |= DIRTY;
             }
             self.hits += 1;
             return LookupResult::Hit;
@@ -201,30 +252,42 @@ impl CacheArray {
 
         self.misses += 1;
 
-        // Miss: pick an invalid way, else the LRU way.
-        let idx = match range.clone().find(|&i| self.flags[i] & VALID == 0) {
-            Some(i) => i,
-            None => range
-                .min_by_key(|&i| self.lru[i])
-                .expect("nonzero associativity"),
-        };
-        let result = if self.flags[idx] & VALID != 0 {
-            let victim_line = self.tags[idx] * sets + set;
-            if self.flags[idx] & DIRTY != 0 {
-                LookupResult::MissDirtyEviction { victim_line }
-            } else {
-                LookupResult::Miss {
-                    evicted_clean: Some(victim_line),
-                }
+        // Miss: fill the first invalid way, else evict the LRU way.
+        let invalid = self.words[base..base + w]
+            .iter()
+            .position(|&x| x & VALID == 0);
+        let (i, result) = match invalid {
+            Some(i) => {
+                self.valid += 1;
+                self.promote(base, base + i, w);
+                (
+                    base + i,
+                    LookupResult::Miss {
+                        evicted_clean: None,
+                    },
+                )
             }
-        } else {
-            LookupResult::Miss {
-                evicted_clean: None,
+            None => {
+                let i = base
+                    + self.ranks[base..base + w]
+                        .iter()
+                        .position(|&r| r as usize == w - 1)
+                        .expect("a full set ranks one way last");
+                let set = addr.line_index() & ((1u64 << self.set_bits) - 1);
+                let victim = self.words[i];
+                let victim_line = ((victim >> TAG_SHIFT) as u64) << self.set_bits | set;
+                self.promote(base, i, w - 1);
+                let result = if victim & DIRTY != 0 {
+                    LookupResult::MissDirtyEviction { victim_line }
+                } else {
+                    LookupResult::Miss {
+                        evicted_clean: Some(victim_line),
+                    }
+                };
+                (i, result)
             }
         };
-        self.tags[idx] = tag;
-        self.lru[idx] = tick;
-        self.flags[idx] = VALID | if write { DIRTY } else { 0 };
+        self.words[i] = key | if write { DIRTY } else { 0 };
         result
     }
 
@@ -232,35 +295,38 @@ impl CacheArray {
     ///
     /// Used for coherence: a remote writer invalidates other agents' copies.
     pub fn invalidate(&mut self, addr: PAddr) -> Option<bool> {
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        for i in self.set_range(set) {
-            if self.flags[i] & VALID != 0 && self.tags[i] == tag {
-                let dirty = self.flags[i] & DIRTY != 0;
-                self.flags[i] &= !VALID;
-                return Some(dirty);
+        let (base, key) = self.locate(addr);
+        let i = self.find(base, key)?;
+        let dirty = self.words[i] & DIRTY != 0;
+        let rank = self.ranks[i];
+        self.words[i] = 0;
+        self.valid -= 1;
+        let w = self.geom.ways() as usize;
+        let words = &self.words[base..base + w];
+        for (r, &word) in self.ranks[base..base + w].iter_mut().zip(words) {
+            if word & VALID != 0 && *r > rank {
+                *r -= 1;
             }
         }
-        None
+        Some(dirty)
     }
 
     /// Downgrades `addr`'s line to clean (e.g. after a sharer reads a line
     /// this cache held modified). Returns whether the line was present.
     pub fn clean(&mut self, addr: PAddr) -> bool {
-        let set = self.geom.set_of(addr);
-        let tag = self.geom.tag_of(addr);
-        for i in self.set_range(set) {
-            if self.flags[i] & VALID != 0 && self.tags[i] == tag {
-                self.flags[i] &= !DIRTY;
-                return true;
+        let (base, key) = self.locate(addr);
+        match self.find(base, key) {
+            Some(i) => {
+                self.words[i] &= !DIRTY;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Number of resident lines (for tests and occupancy stats).
     pub fn resident_lines(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & VALID != 0).count()
+        self.valid
     }
 }
 
@@ -393,5 +459,14 @@ mod tests {
         c.access(line(0), false);
         c.access(line(1), false);
         assert_eq!(c.resident_lines(), 2);
+        c.invalidate(line(0));
+        assert_eq!(c.resident_lines(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag range")]
+    fn tag_beyond_the_way_word_panics() {
+        // 4 sets: a 2^40 B address has a 32-bit tag.
+        tiny().access(PAddr::new(1 << 40), false);
     }
 }

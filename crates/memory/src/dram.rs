@@ -14,9 +14,9 @@
 //! logical time independently), while still converging to the exact
 //! sustained bandwidth under load.
 
-use std::collections::BTreeMap;
-
 use sonuma_sim::SimTime;
+
+use crate::fasthash::FastMap;
 
 /// Width of one bandwidth-accounting bucket.
 const BUCKET: SimTime = SimTime::from_ns(200);
@@ -68,7 +68,8 @@ impl Default for DramConfig {
 pub struct DramModel {
     config: DramConfig,
     bucket_bytes: u64,
-    used: BTreeMap<u64, u64>,
+    /// Bucket index → bytes admitted. Probed per access, never iterated.
+    used: FastMap<u64, u64>,
     accesses: u64,
     bytes: u64,
     stall_ps: u64,
@@ -88,7 +89,7 @@ impl DramModel {
         DramModel {
             config,
             bucket_bytes,
-            used: BTreeMap::new(),
+            used: FastMap::default(),
             accesses: 0,
             bytes: 0,
             stall_ps: 0,

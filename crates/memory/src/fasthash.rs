@@ -1,12 +1,12 @@
 //! A tiny deterministic hasher for the model's internal integer-keyed
 //! maps.
 //!
-//! The functional memory and coherence maps sit on the per-packet hot
-//! path: every simulated cache-line access probes them several times, and
-//! `std`'s default SipHash costs more than the arithmetic around it. This
-//! is an FxHash-style multiplicative hasher — one multiply per word —
-//! which is plenty for the dense, low-entropy keys involved (frame and
-//! line numbers). None of the maps using it ever expose iteration order,
+//! The functional memory's frame map, the page table and the DRAM
+//! bandwidth buckets sit on the per-packet hot path: simulated cache-line
+//! accesses and translations probe them, and `std`'s default SipHash
+//! costs more than the arithmetic around it. This is an FxHash-style
+//! multiplicative hasher — one multiply per word — which is plenty for the
+//! dense, low-entropy keys involved (frame, page and bucket numbers). None of the maps using it ever expose iteration order,
 //! so swapping the hasher cannot change simulation results.
 
 use std::collections::HashMap;

@@ -9,13 +9,19 @@
 //! transfer costs instead of magic zero-cost sharing. This is the mechanism
 //! behind the paper's claim that RMC/core communication avoids PCIe DMA:
 //! here it costs a ~15 ns on-chip transfer rather than ~450 ns per crossing.
+//!
+//! The L1 tags are the coherence state. An agent shares a line exactly when
+//! its L1 holds it, and owns it modified exactly when its L1 holds it dirty:
+//! every write invalidates the other L1s' copies, and a reader that pulls a
+//! dirty line cleans the owner's copy. So an access learns the line's
+//! sharers and owner by probing the other agents' L1 sets (one 2-way set
+//! each under Table 1) instead of keeping a separate line directory.
 
 use sonuma_sim::SimTime;
 
 use crate::addr::PAddr;
 use crate::cache::{CacheArray, CacheGeometry, LookupResult};
 use crate::dram::{DramConfig, DramModel};
-use crate::fasthash::FastMap;
 
 /// Identifies an agent (core or RMC) attached to the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,14 +107,6 @@ impl Default for HierarchyConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LineState {
-    /// Bitmask of agents whose L1 may hold the line.
-    holders: u64,
-    /// Agent holding the line modified, if any.
-    dirty_owner: Option<AgentId>,
-}
-
 /// A node's memory hierarchy: per-agent L1s, shared LLC, one DRAM channel.
 ///
 /// # Example
@@ -131,9 +129,6 @@ pub struct MemoryHierarchy {
     l1s: Vec<CacheArray>,
     l2: CacheArray,
     dram: DramModel,
-    /// Line number → coherence state. Fast-hashed: probed several times
-    /// per access, never iterated.
-    lines: FastMap<u64, LineState>,
     hits_by_level: [u64; 4],
 }
 
@@ -152,7 +147,6 @@ impl MemoryHierarchy {
                 .collect(),
             l2: CacheArray::new(config.l2_geometry),
             dram: DramModel::new(config.dram),
-            lines: FastMap::default(),
             hits_by_level: [0; 4],
         }
     }
@@ -177,9 +171,8 @@ impl MemoryHierarchy {
         &self.dram
     }
 
-    /// Cache lines with materialized state across all levels, plus the
-    /// coherence lines tracked so far. The tag arrays are virtually sized
-    /// by geometry but zero-page-backed until touched, so this — not
+    /// Valid cache lines across all levels. The tag arrays are virtually
+    /// sized by geometry but zero-page-backed until touched, so this — not
     /// `size_bytes()` — tracks what the hierarchy actually costs.
     pub fn resident_lines(&self) -> usize {
         self.l1s
@@ -187,7 +180,6 @@ impl MemoryHierarchy {
             .map(CacheArray::resident_lines)
             .sum::<usize>()
             + self.l2.resident_lines()
-            + self.lines.len()
     }
 
     fn note(&mut self, level: HitLevel) {
@@ -198,27 +190,6 @@ impl MemoryHierarchy {
             HitLevel::Dram => 3,
         };
         self.hits_by_level[i] += 1;
-    }
-
-    fn apply_l1_side_effects(&mut self, agent: AgentId, result: LookupResult) {
-        // Keep the coherence map consistent with L1 evictions; dirty
-        // victims conceptually write back into the LLC.
-        let evicted = match result {
-            LookupResult::Hit => None,
-            LookupResult::Miss { evicted_clean } => evicted_clean,
-            LookupResult::MissDirtyEviction { victim_line } => {
-                self.l2.access(PAddr::new(victim_line * 64), true);
-                Some(victim_line)
-            }
-        };
-        if let Some(line) = evicted {
-            if let Some(st) = self.lines.get_mut(&line) {
-                st.holders &= !(1u64 << agent.0);
-                if st.dirty_owner == Some(agent) {
-                    st.dirty_owner = None;
-                }
-            }
-        }
     }
 
     fn apply_l2_side_effects(&mut self, now: SimTime, result: LookupResult) {
@@ -241,32 +212,22 @@ impl MemoryHierarchy {
         now: SimTime,
     ) -> AccessResult {
         assert!(agent.0 < self.l1s.len(), "unknown agent {agent:?}");
-        let line = addr.line_index();
         let write = kind == AccessKind::Write;
-        let me = 1u64 << agent.0;
 
         let mut latency = self.config.l1_latency;
         let l1_result = self.l1s[agent.0].access(addr, write);
-        self.apply_l1_side_effects(agent, l1_result);
+        if let LookupResult::MissDirtyEviction { victim_line } = l1_result {
+            // Dirty L1 victims write back into the LLC.
+            self.l2.access(PAddr::new(victim_line * 64), true);
+        }
 
-        let state = self.lines.entry(line).or_default();
-        let holders_others = state.holders & !me;
-        let dirty_other = match state.dirty_owner {
-            Some(o) if o != agent => Some(o),
-            _ => None,
-        };
-
-        if l1_result.is_hit() && dirty_other.is_none() {
-            // L1 hit. A write to a shared line pays an upgrade (invalidate
-            // sharers through the LLC's directory).
-            if write && holders_others != 0 {
+        if l1_result.is_hit() {
+            // L1 hit. No other agent can hold the line dirty: a write
+            // leaves the writer's L1 the only holder. A write to a shared
+            // line pays an upgrade (invalidate sharers through the LLC's
+            // directory).
+            if write && self.invalidate_others(addr, agent) {
                 latency += self.config.l2_latency;
-                self.invalidate_others(line, agent);
-            }
-            let state = self.lines.entry(line).or_default();
-            state.holders |= me;
-            if write {
-                state.dirty_owner = Some(agent);
             }
             self.note(HitLevel::L1);
             return AccessResult {
@@ -275,19 +236,19 @@ impl MemoryHierarchy {
             };
         }
 
-        // L1 miss (or stale hit while another agent owns the line dirty):
-        // go through the LLC lookup.
+        // L1 miss: go through the LLC lookup, unless another agent holds
+        // the line dirty (that L1 is then its only other holder).
         latency += self.config.l2_latency;
+        let dirty_other = (0..self.l1s.len())
+            .find(|&i| i != agent.0 && self.l1s[i].probe_dirty(addr) == Some(true));
 
         let level = if let Some(owner) = dirty_other {
             // Dirty in another agent's L1: cache-to-cache transfer. The
-            // owner's copy is downgraded (read) or invalidated (write), and
-            // the line lands in the LLC.
+            // owner's copy is downgraded (read) or invalidated (write,
+            // below), and the line lands in the LLC.
             latency += self.config.cache_to_cache;
-            if write {
-                self.l1s[owner.0].invalidate(addr);
-            } else {
-                self.l1s[owner.0].clean(addr);
+            if !write {
+                self.l1s[owner].clean(addr);
             }
             let l2r = self.l2.access(addr, true);
             self.apply_l2_side_effects(now, l2r);
@@ -306,48 +267,23 @@ impl MemoryHierarchy {
             }
         };
 
-        // Fill our L1 (unless a stale tag already matched, in which case the
-        // earlier access() call refreshed it).
-        if !l1_result.is_hit() {
-            // already filled by the access() above
-        }
-
-        let state = self.lines.entry(line).or_default();
         if write {
-            self.invalidate_others(line, agent);
-            let state = self.lines.entry(line).or_default();
-            state.holders = me;
-            state.dirty_owner = Some(agent);
-        } else {
-            state.holders |= me;
-            if let Some(owner) = dirty_other {
-                // Value now clean in LLC; previous owner keeps a clean copy.
-                let state = self.lines.entry(line).or_default();
-                if state.dirty_owner == Some(owner) {
-                    state.dirty_owner = None;
-                }
-            }
+            self.invalidate_others(addr, agent);
         }
-
         self.note(level);
         AccessResult { latency, level }
     }
 
-    fn invalidate_others(&mut self, line: u64, keep: AgentId) {
-        let state = self.lines.entry(line).or_default();
-        let holders = state.holders;
-        state.holders &= 1u64 << keep.0;
-        if let Some(owner) = state.dirty_owner {
-            if owner != keep {
-                state.dirty_owner = None;
+    /// Invalidates every L1 copy of `addr`'s line but `keep`'s; returns
+    /// whether any existed.
+    fn invalidate_others(&mut self, addr: PAddr, keep: AgentId) -> bool {
+        let mut any = false;
+        for (i, l1) in self.l1s.iter_mut().enumerate() {
+            if i != keep.0 {
+                any |= l1.invalidate(addr).is_some();
             }
         }
-        let addr = PAddr::new(line * 64);
-        for i in 0..self.l1s.len() {
-            if i != keep.0 && holders & (1u64 << i) != 0 {
-                self.l1s[i].invalidate(addr);
-            }
-        }
+        any
     }
 
     /// Latency of an uncontended local DRAM access — the paper's baseline

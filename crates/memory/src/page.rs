@@ -7,10 +7,9 @@
 //! references, standing in for a radix walk) and a bump-with-free-list frame
 //! allocator per node.
 
-use std::collections::BTreeMap;
-
 use crate::addr::{PAddr, VAddr, PAGE_BYTES};
 use crate::error::MemError;
+use crate::fasthash::FastMap;
 
 /// Allocates physical frames within one node.
 ///
@@ -87,7 +86,7 @@ impl FrameAllocator {
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     asid: u32,
-    table: BTreeMap<u64, u64>, // vpn -> pfn
+    table: FastMap<u64, u64>, // vpn -> pfn; looked up, never iterated
 }
 
 impl AddressSpace {
@@ -95,7 +94,7 @@ impl AddressSpace {
     pub fn new(asid: u32) -> Self {
         AddressSpace {
             asid,
-            table: BTreeMap::new(),
+            table: FastMap::default(),
         }
     }
 
